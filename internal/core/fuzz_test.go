@@ -4,6 +4,13 @@ import (
 	"testing"
 )
 
+// overflowRequest and overflowResponse declare the largest Content-Length
+// an int holds, so head length plus body length overflows.
+const (
+	overflowRequest  = "GET / HTTP/1.1\r\nContent-Length: 9223372036854775807\r\n\r\n"
+	overflowResponse = "HTTP/1.1 200 OK\r\nContent-Length: 9223372036854775807\r\n\r\n"
+)
+
 // FuzzUnmarshalRecord must never panic on arbitrary TCPStore values —
 // after a failure an instance decodes bytes written by another process
 // version, so corrupt input is a real input class.
@@ -36,6 +43,7 @@ func FuzzFrameRequests(f *testing.F) {
 	f.Add([]byte("GET /a HTTP/1.1\r\nHost: h\r\n\r\n"))
 	f.Add([]byte("POST /b HTTP/1.1\r\nContent-Length: 4\r\n\r\nBODY"))
 	f.Add([]byte("\r\n\r\n\r\n\r\n"))
+	f.Add([]byte(overflowRequest + "tail"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frames, consumed := frameRequests(data)
 		if consumed < 0 || consumed > len(data) {
@@ -56,6 +64,7 @@ func FuzzFrameRequests(f *testing.F) {
 func FuzzFrameResponseLen(f *testing.F) {
 	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"))
 	f.Add([]byte("HTTP/1.1 204 No Content\r\n\r\n"))
+	f.Add([]byte(overflowResponse + "tail"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := frameResponseLen(data)
 		if n < 0 || n > len(data) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -104,6 +105,9 @@ func firstRequestLen(buf []byte) int {
 	total := headerBlockLen(buf)
 	if cl := req.Header("Content-Length"); cl != "" {
 		if n, err := strconv.Atoi(cl); err == nil && n > 0 {
+			if n > math.MaxInt-total {
+				return len(buf)
+			}
 			total += n
 		}
 	}
@@ -125,7 +129,7 @@ func frameRequests(buf []byte) ([]kaRequest, int) {
 		bodyLen := 0
 		if cl := req.Header("Content-Length"); cl != "" {
 			n, cerr := strconv.Atoi(cl)
-			if cerr != nil || n < 0 {
+			if cerr != nil || n < 0 || n > math.MaxInt-headerLen {
 				return frames, consumed
 			}
 			bodyLen = n
@@ -482,7 +486,7 @@ func frameResponseLen(buf []byte) int {
 		}
 		if strings.EqualFold(string(bytes.TrimSpace(line[:colon])), "Content-Length") {
 			n, err := strconv.Atoi(string(bytes.TrimSpace(line[colon+1:])))
-			if err != nil || n < 0 {
+			if err != nil || n < 0 || n > math.MaxInt-total {
 				return 0
 			}
 			total += n

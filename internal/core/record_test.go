@@ -178,3 +178,23 @@ func TestFrameResponseLen(t *testing.T) {
 		t.Fatalf("no-CL frame: %d", n)
 	}
 }
+
+// A Content-Length of math.MaxInt overflows head length plus body
+// length; every framing helper must report "not framed" instead of
+// panicking or returning a negative length.
+func TestFramingRejectsContentLengthOverflow(t *testing.T) {
+	req := []byte(overflowRequest + "tail")
+	if frames, consumed := frameRequests(req); len(frames) != 0 || consumed != 0 {
+		t.Fatalf("frameRequests: %d frames, %d consumed", len(frames), consumed)
+	}
+	ok := []byte("GET /a HTTP/1.1\r\n\r\n")
+	if frames, consumed := frameRequests(append(ok, req...)); len(frames) != 1 || consumed != len(ok) {
+		t.Fatalf("frameRequests after a good request: %d frames, %d consumed", len(frames), consumed)
+	}
+	if n := firstRequestLen(req); n != len(req) {
+		t.Fatalf("firstRequestLen = %d, want %d", n, len(req))
+	}
+	if n := frameResponseLen([]byte(overflowResponse + "tail")); n != 0 {
+		t.Fatalf("frameResponseLen = %d, want 0", n)
+	}
+}

@@ -2,6 +2,8 @@ package httpsim
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -395,5 +397,116 @@ func TestServerConnectionCountTracksCloses(t *testing.T) {
 	}
 	if w.server.ActiveConns != 0 {
 		t.Fatalf("ActiveConns = %d after all closes", w.server.ActiveConns)
+	}
+}
+
+func TestContentLengthOverflowIsMalformed(t *testing.T) {
+	rp := &RequestParser{}
+	if _, err := rp.Feed([]byte(overflowRequest + "x")); err != ErrMalformed {
+		t.Fatalf("request: err = %v, want ErrMalformed", err)
+	}
+	sp := &ResponseParser{}
+	if _, err := sp.Feed([]byte(overflowResponse + "x")); err != ErrMalformed {
+		t.Fatalf("response: err = %v, want ErrMalformed", err)
+	}
+	// One byte below the overflow is a legal, if never-ending, body.
+	head := "HTTP/1.1 200 OK\r\nContent-Length: "
+	n := math.MaxInt - (len(head) + len("9223372036854775807") + 4)
+	sp = &ResponseParser{}
+	got, err := sp.Feed([]byte(head + strconv.Itoa(n) + "\r\n\r\nabc"))
+	if err != nil || len(got) != 0 {
+		t.Fatalf("largest legal length: %v %v", got, err)
+	}
+}
+
+// The body must be a copy: TCP hands the receiver zero-copy slices of
+// the sender's buffer, which the sender reuses once they are ACKed.
+func TestParsedBodyDoesNotAliasInput(t *testing.T) {
+	wire := NewResponse(200, bytes.Repeat([]byte("b"), 3000)).Marshal()
+	p := &ResponseParser{}
+	var got []*Response
+	for off := 0; off < len(wire); off += 1000 {
+		resps, err := p.Feed(wire[off:min(off+1000, len(wire))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, resps...)
+	}
+	if len(got) != 1 {
+		t.Fatalf("got %d responses", len(got))
+	}
+	for i := range wire {
+		wire[i] = 'X'
+	}
+	if !bytes.Equal(got[0].Body, bytes.Repeat([]byte("b"), 3000)) {
+		t.Fatal("body changed when the input buffer was overwritten")
+	}
+}
+
+// A malformed head stays in front of the stream: every later Feed fails
+// the same way and Buffered keeps counting everything fed.
+func TestMalformedHeadIsSticky(t *testing.T) {
+	p := &RequestParser{}
+	reqs, err := p.Feed([]byte("GET /a HTTP/1.1\r\n\r\nBAD\r\n\r\nGET /b HTTP/1.1\r\n\r\n"))
+	if err != ErrMalformed || len(reqs) != 1 || reqs[0].Path != "/a" {
+		t.Fatalf("first feed: %v %v", reqs, err)
+	}
+	if _, err := p.Feed([]byte("GET /c HTTP/1.1\r\n\r\n")); err != ErrMalformed {
+		t.Fatalf("second feed: err = %v", err)
+	}
+	if want := len("BAD\r\n\r\nGET /b HTTP/1.1\r\n\r\nGET /c HTTP/1.1\r\n\r\n"); p.Buffered() != want {
+		t.Fatalf("buffered %d, want %d", p.Buffered(), want)
+	}
+}
+
+// TestParsersMatchReferenceOnLargeInputs covers what the fuzzers' small
+// inputs rarely reach: heads and bodies past maxHeaderBytes, where the
+// request side reports ErrTooLarge and the response side does not.
+func TestParsersMatchReferenceOnLargeInputs(t *testing.T) {
+	bigBody := bytes.Repeat([]byte("0123456789"), 30000)
+	bigHead := "X-Pad: " + strings.Repeat("p", maxHeaderBytes) + "\r\n"
+	postBig := "POST /big HTTP/1.1\r\nContent-Length: " + strconv.Itoa(len(bigBody)) + "\r\n\r\n" + string(bigBody)
+	reqInputs := []string{
+		postBig + "GET /next HTTP/1.1\r\n\r\n",
+		"GET /h HTTP/1.1\r\n" + bigHead + "\r\nGET /after HTTP/1.1\r\n\r\n",
+		strings.Repeat("A", maxHeaderBytes+5) + "\r\n\r\n",
+	}
+	respInputs := []string{
+		string(NewResponse(200, bigBody).Marshal()) + string(NewResponse(404, nil).Marshal()),
+		"HTTP/1.1 200 OK\r\n" + bigHead + "Content-Length: 3\r\n\r\nabc",
+		strings.Repeat("B", maxHeaderBytes+5),
+	}
+	for _, seed := range []uint32{1, 2, 3} {
+		for _, in := range reqInputs {
+			differential[*Request](t, []byte(in), seed, 40000, &RequestParser{}, &refRequestParser{})
+		}
+		for _, in := range respInputs {
+			differential[*Response](t, []byte(in), seed, 40000, &ResponseParser{}, &refResponseParser{})
+		}
+	}
+}
+
+// Server.Conns keeps every accepted conn for its stats. Those stats must
+// survive the conns releasing their send buffers at close, and the body
+// the client parsed must not depend on the server's buffer.
+func TestServerConnStatsSurviveClose(t *testing.T) {
+	obj := bytes.Repeat([]byte("0123456789abcdef"), 16*1024)
+	w := newWorld(6, map[string][]byte{"/big": obj})
+	rng := w.net.Rand()
+	w.net.SetDropFunc(func(pkt *netsim.Packet) bool {
+		return len(pkt.Payload) > 0 && rng.Float64() < 0.03
+	})
+	var res *FetchResult
+	w.client.Get(w.srvHP, "/big", func(r *FetchResult) { res = r })
+	w.net.RunUntilIdle(2_000_000)
+	if res == nil || res.Err != nil || !bytes.Equal(res.Resp.Body, obj) {
+		t.Fatalf("fetch: %+v", res)
+	}
+	conns := w.server.Conns()
+	if len(conns) != 1 || conns[0].State() != tcp.StateClosed {
+		t.Fatalf("server conns: %d", len(conns))
+	}
+	if conns[0].Retransmits == 0 || conns[0].BytesSent < uint64(len(obj)) {
+		t.Fatalf("stats: %d retransmits, %d bytes sent", conns[0].Retransmits, conns[0].BytesSent)
 	}
 }

@@ -152,10 +152,13 @@ type Timer struct {
 }
 
 // Stop prevents the timer from firing. Stopping an already-fired,
-// already-stopped, or zero timer is a no-op.
+// already-stopped, or zero timer is a no-op. The cancelled record stays
+// queued until its deadline, but drops its closure now, so whatever the
+// callback captured is garbage as soon as the timer stops.
 func (t Timer) Stop() {
 	if t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled {
 		t.ev.cancelled = true
+		t.ev.fn = nil
 		t.net.cancelledPending++
 	}
 }

@@ -409,7 +409,11 @@ func (c *Conn) teardown() {
 	c.delackTimer.Stop()
 	// rtxBufs are NOT released here: retransmitted packets referencing
 	// them may still be in flight, and the conn going away does not stop
-	// their delivery. They are garbage-collected with the conn.
+	// their delivery. They are garbage-collected with the conn. The send
+	// buffer is released: in-flight first transmissions hold their own
+	// sub-slices of it, and nothing reads it once the conn is closed, so
+	// a closed conn kept for its stats does not keep its payload alive.
+	c.sndBuf, c.sndHead = nil, 0
 	c.host.Unregister(c.local.Port, c.remote)
 }
 

@@ -511,3 +511,58 @@ func TestDuplicateDataSuppressed(t *testing.T) {
 		t.Fatalf("got %q, want %q exactly once", got.String(), payload)
 	}
 }
+
+// A closed conn may be kept for its stats (httpsim.Server.Conns keeps
+// every accepted one); it must not keep its send buffer with it, after
+// a close handshake or after an abort.
+func TestTeardownReleasesSendBuffer(t *testing.T) {
+	p := newPair(3)
+	rng := p.net.Rand()
+	p.net.SetDropFunc(func(pkt *netsim.Packet) bool {
+		return len(pkt.Payload) > 0 && rng.Float64() < 0.05
+	})
+	payload := make([]byte, 200*1024)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	var srv []*Conn
+	Listen(p.server, 80, func(c *Conn) Callbacks {
+		srv = append(srv, c)
+		return Callbacks{
+			OnEstablished: func(c *Conn) { c.Write(payload); c.Close() },
+		}
+	}, DefaultConfig())
+	var got bytes.Buffer
+	Dial(p.client, netsim.HostPort{IP: serverIP, Port: 80}, Callbacks{
+		OnData:      func(c *Conn, d []byte) { got.Write(d) },
+		OnPeerClose: func(c *Conn) { c.Close() },
+	}, DefaultConfig())
+	p.net.RunUntilIdle(2_000_000)
+	if !bytes.Equal(got.Bytes(), payload) {
+		t.Fatal("payload corrupted")
+	}
+	c := srv[0]
+	if c.State() != StateClosed || c.sndBuf != nil || c.sndHead != 0 {
+		t.Fatalf("closed conn: state %v, send buffer len %d", c.State(), len(c.sndBuf))
+	}
+	if c.Retransmits == 0 || c.BytesSent < uint64(len(payload)) {
+		t.Fatalf("stats after release: %d retransmits, %d bytes sent", c.Retransmits, c.BytesSent)
+	}
+
+	// Abort with most of the payload still unsent.
+	p.net.SetDropFunc(nil)
+	Dial(p.client, netsim.HostPort{IP: serverIP, Port: 80}, Callbacks{}, DefaultConfig())
+	p.net.RunFor(100 * time.Millisecond)
+	c = srv[1]
+	if len(c.sndBuf) == 0 {
+		t.Fatal("the second transfer finished before the abort")
+	}
+	c.Abort()
+	if c.State() != StateClosed || c.sndBuf != nil || c.sndHead != 0 {
+		t.Fatalf("aborted conn: state %v, send buffer len %d", c.State(), len(c.sndBuf))
+	}
+	if c.BytesSent == 0 {
+		t.Fatal("aborted conn lost its stats")
+	}
+	p.net.RunUntilIdle(2_000_000)
+}

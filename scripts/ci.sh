@@ -6,9 +6,10 @@
 #                             the 4-shard race runs and the RNG lint
 #   3. go build               everything compiles, including cmd/
 #   4. go test -race          full suite under the race detector
-#   5. benchmarks             every Benchmark* compiles and runs one
+#   5. fuzzing                10s per httpsim parser fuzz target
+#   6. benchmarks             every Benchmark* compiles and runs one
 #      iteration (the heavy figure benchmarks are excluded by name; run
-#      scripts/bench.sh for real numbers)
+#      scripts/bench.sh for real numbers); a failing benchmark fails CI
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,10 +67,30 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== parser fuzzing (10s per target) =="
+# The streaming HTTP framers against the reference parsers kept in
+# parser_reference_test.go, plus the no-panic/round-trip fuzzers. A
+# failing input lands in internal/httpsim/testdata/fuzz as a regression.
+for target in FuzzRequestParser FuzzResponseParser FuzzRequestParserDifferential FuzzResponseParserDifferential; do
+  go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s ./internal/httpsim/
+done
+
 echo "== benchmarks (1 iteration, smoke) =="
+# go test's exit status decides the step; the output is filtered only
+# for display, and shown in full when the step fails.
+SMOKE_LOG="$(mktemp)"
+smoke_rc=0
 go test -run '^$' -bench '.' -benchtime=1x \
   -skip 'BenchmarkFig10|BenchmarkFig12|BenchmarkFig13|BenchmarkMemcachedRealTCP' \
-  ./... 2>/dev/null | grep -E '^(Benchmark|ok|FAIL)' || true
+  ./... >"$SMOKE_LOG" 2>&1 || smoke_rc=$?
+grep -E '^(Benchmark|ok|FAIL)' "$SMOKE_LOG" || true
+if [[ $smoke_rc -ne 0 ]]; then
+  echo "FAIL: benchmark smoke exited $smoke_rc:" >&2
+  cat "$SMOKE_LOG" >&2
+  rm -f "$SMOKE_LOG"
+  exit 1
+fi
+rm -f "$SMOKE_LOG"
 
 echo "== bench regression gate (>15% vs BENCH_core.json fails) =="
 # Guard the dataplane's headline numbers: the event-loop and flow
