@@ -70,6 +70,33 @@ func TestSNATRangesArePartitioned(t *testing.T) {
 	}
 }
 
+// TestSNATBlocksStayInRangeAcrossRestarts restarts instances until the
+// fresh SNAT blocks above port 20000 run out: every live incarnation's
+// block must stay inside [20000, 65535] and no two live blocks may
+// overlap, however many restarts happen.
+func TestSNATBlocksStayInRangeAcrossRestarts(t *testing.T) {
+	c := cluster.New(4)
+	c.AddStoreServers(1, memcache.DefaultSimServerConfig())
+	cfg := core.DefaultConfig()
+	c.AddYodaN(4, cfg, tcpstore.DefaultConfig())
+	for r := 1; r <= 40; r++ {
+		c.RestartYoda(r%len(c.Yoda), cfg, tcpstore.DefaultConfig())
+		for i, in := range c.Yoda {
+			base, count := in.SNATRange()
+			if end := int(base) + int(count); base < 20000 || end > 65536 {
+				t.Fatalf("restart %d: instance %d block [%d, %d) outside [20000, 65535]", r, i, base, end)
+			}
+			for j, other := range c.Yoda[:i] {
+				ob, oc := other.SNATRange()
+				if int(base) < int(ob)+int(oc) && int(ob) < int(base)+int(count) {
+					t.Fatalf("restart %d: blocks of instances %d [%d,+%d) and %d [%d,+%d) overlap",
+						r, i, base, count, j, ob, oc)
+				}
+			}
+		}
+	}
+}
+
 func TestResolver(t *testing.T) {
 	c := cluster.New(3)
 	c.AddBackend("known", nil, httpsim.DefaultServerConfig())

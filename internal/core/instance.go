@@ -102,8 +102,7 @@ type VIPStats struct {
 type Instance struct {
 	host *netsim.Host
 	net  *netsim.Network
-	// rng is the owning shard's deterministic RNG, cached at construction
-	// so rule-engine draws stay shard-local under the sharded dataplane.
+	// rng is the network's deterministic RNG, cached at construction.
 	rng   *rand.Rand
 	l4    *l4lb.LB
 	store *tcpstore.Store
@@ -160,7 +159,7 @@ type Instance struct {
 	// denominator of EventsPerFlow.
 	FlowsClosed uint64
 
-	// baseExecuted snapshots the shard event-loop counter at
+	// baseExecuted snapshots the event-loop counter at
 	// construction, so EventsPerFlow charges only events that ran during
 	// this instance's lifetime.
 	baseExecuted uint64
@@ -205,10 +204,10 @@ func NewInstance(host *netsim.Host, lb *l4lb.LB, store *tcpstore.Store, cfg Conf
 	return inst
 }
 
-// EventsPerFlow reports shard event-loop events executed per flow this
+// EventsPerFlow reports event-loop events executed per flow this
 // instance completed — the dataplane-efficiency headline the Tier A/B
 // coalescing work drives down (see DESIGN.md §14). Events are counted
-// on the instance's shard from its construction, so co-located clients
+// on the instance's network from its construction, so co-located clients
 // and backends are included: the number is comparable between runs of
 // the same topology, not across topologies. Zero until a flow closes.
 func (in *Instance) EventsPerFlow() float64 {
@@ -227,6 +226,11 @@ func (in *Instance) IP() netsim.IP { return in.host.IP() }
 // Store returns the instance's TCPStore client.
 func (in *Instance) Store() *tcpstore.Store { return in.store }
 
+// SNATRange returns the instance's SNAT port block [base, base+count).
+func (in *Instance) SNATRange() (base, count uint16) {
+	return in.cfg.SNATBase, in.cfg.SNATCount
+}
+
 // InstallRules installs (or replaces) the rule table for a VIP. Existing
 // flows are unaffected: policies apply to new connections only (§5.2).
 // Invalid tables (see rules.ValidateRules) are rejected, leaving any
@@ -240,19 +244,6 @@ func (in *Instance) InstallRules(vip netsim.IP, rs []rules.Rule) error {
 	}
 	in.engines[vip] = rules.NewEngine(rs)
 	return nil
-}
-
-// StickyTableSizes reports the number of sticky-session bindings per
-// table, summed across this instance's VIP engines — the memory the
-// hygiene pass in rules.Engine.Update bounds under policy churn.
-func (in *Instance) StickyTableSizes() map[string]int {
-	out := make(map[string]int)
-	for _, e := range in.engines {
-		for name, n := range e.TableSizes() {
-			out[name] += n
-		}
-	}
-	return out
 }
 
 // RemoveRules drops the rule table for a VIP (VIP removal, §5.2).

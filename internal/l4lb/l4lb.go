@@ -61,27 +61,10 @@ func DefaultConfig() Config {
 // aliasing a live entry's 64-bit tag is forwarded to a live pair's
 // instance with affinity-grade stickiness, exactly what the rendezvous
 // pick would have provided, just to a possibly different instance.
-// Correctness-critical paths (SNAT-range return routing, new-flow
-// placement after the miss) never depend on a compact hit.
+// New-flow placement after a miss never depends on a compact hit.
 type mux struct {
 	vipMap   map[netsim.IP][]netsim.IP // VIP -> assigned L7 instance IPs
 	affinity *flowmap.Compact          // flow -> pair index (see LB.pairs)
-}
-
-// snatRange is a per-instance SNAT source-port block. Because the
-// cluster assigns every instance a disjoint block, a SNAT return packet
-// (server -> VIP:port) can be routed to its instance statelessly by
-// range lookup — no affinity entry, and therefore no mux-state write on
-// the instance's send path. That is what lets instances on other shards
-// originate SNAT traffic without touching mux maps owned by the LB's
-// shard. The affinity table still overrides the range: a flow recovered
-// by a different instance keeps its old port (from the dead instance's
-// now-unregistered block) and is routed by an explicitly installed
-// affinity entry, exactly as before ranges existed.
-type snatRange struct {
-	inst netsim.IP
-	base uint16
-	end  uint32 // base+count, exclusive
 }
 
 func newMux() *mux {
@@ -101,13 +84,12 @@ type affinityPair struct {
 // LB is the layer-4 load balancer.
 type LB struct {
 	net *netsim.Network
-	// rng is the LB's shard-local RNG handle, cached at construction per
-	// the repo-wide rule that components never call Network.Rand inline.
-	rng        *rand.Rand
-	cfg        Config
-	muxes      []*mux
-	snatRanges []snatRange
-	vips       map[netsim.IP]bool
+	// rng is the network's RNG, cached at construction per the repo-wide
+	// rule that components never call Network.Rand inline.
+	rng   *rand.Rand
+	cfg   Config
+	muxes []*mux
+	vips  map[netsim.IP]bool
 
 	// pairs is the (VIP, instance) registry affinity values point into;
 	// pairIdx is its reverse index. Pairs are append-only: an evicted
@@ -118,12 +100,6 @@ type LB struct {
 	pairs   []affinityPair
 	pairIdx map[affinityPair]flowmap.Value
 
-	// vipPackets counts packets per VIP since the last ReadTraffic
-	// call, feeding the controller's statistics. trafficSpare is the
-	// double buffer ReadTraffic swaps in so the steady-state stats
-	// poll does not allocate a fresh map per cycle.
-	vipPackets   map[netsim.IP]uint64
-	trafficSpare map[netsim.IP]uint64
 	// Forwarded and NoInstanceDrops are lifetime counters.
 	Forwarded       uint64
 	NoInstanceDrops uint64
@@ -135,12 +111,11 @@ func New(n *netsim.Network, cfg Config) *LB {
 		cfg.MuxCount = 1
 	}
 	lb := &LB{
-		net:        n,
-		rng:        n.Rand(),
-		cfg:        cfg,
-		vips:       make(map[netsim.IP]bool),
-		pairIdx:    make(map[affinityPair]flowmap.Value),
-		vipPackets: make(map[netsim.IP]uint64),
+		net:     n,
+		rng:     n.Rand(),
+		cfg:     cfg,
+		vips:    make(map[netsim.IP]bool),
+		pairIdx: make(map[affinityPair]flowmap.Value),
 	}
 	for i := 0; i < cfg.MuxCount; i++ {
 		lb.muxes = append(lb.muxes, newMux())
@@ -280,45 +255,10 @@ func (lb *LB) Converged(vip netsim.IP, insts []netsim.IP) bool {
 // UpdateStagger returns the configured worst-case per-mux update delay.
 func (lb *LB) UpdateStagger() time.Duration { return lb.cfg.UpdateStagger }
 
-// RegisterSNATRange reserves the SNAT source-port block [base,
-// base+count) for inst: return packets addressed to any VIP on a port in
-// the block route to inst with no affinity state. Blocks must be
-// disjoint across instances and must not cover ports client-facing
-// listeners use. Re-registering an instance replaces its block.
-func (lb *LB) RegisterSNATRange(inst netsim.IP, base, count uint16) {
-	lb.UnregisterSNATRange(inst)
-	lb.snatRanges = append(lb.snatRanges, snatRange{inst: inst, base: base, end: uint32(base) + uint32(count)})
-}
-
-// UnregisterSNATRange drops inst's port block. Flows that survive inst
-// (recovered by another instance) keep their old ports; their returns
-// fall back to explicitly installed affinity entries.
-func (lb *LB) UnregisterSNATRange(inst netsim.IP) {
-	for i, r := range lb.snatRanges {
-		if r.inst == inst {
-			lb.snatRanges = append(lb.snatRanges[:i], lb.snatRanges[i+1:]...)
-			return
-		}
-	}
-}
-
-// snatOwner returns the instance owning port's SNAT block, if any. The
-// scan is linear: instance counts are tens, and the slice is immutable
-// between control-plane changes so concurrent shard reads are safe.
-func (lb *LB) snatOwner(port uint16) (netsim.IP, bool) {
-	for _, r := range lb.snatRanges {
-		if port >= r.base && uint32(port) < r.end {
-			return r.inst, true
-		}
-	}
-	return 0, false
-}
-
 // RemoveInstance removes an instance from every VIP mapping and drops its
 // affinity entries on all muxes, immediately. The Yoda controller calls
 // this when its monitor declares the instance dead.
 func (lb *LB) RemoveInstance(inst netsim.IP) {
-	lb.UnregisterSNATRange(inst)
 	for _, m := range lb.muxes {
 		for vip, list := range m.vipMap {
 			out := list[:0]
@@ -347,7 +287,6 @@ func vipOf(ft netsim.FourTuple) netsim.IP { return ft.Dst.IP }
 
 // handleVIPPacket processes a packet that arrived at a VIP address.
 func (lb *LB) handleVIPPacket(vip netsim.IP, pkt *netsim.Packet) {
-	lb.vipPackets[vip]++
 	tuple := pkt.Tuple()
 	m := lb.muxFor(tuple)
 	var inst netsim.IP
@@ -357,20 +296,13 @@ func (lb *LB) handleVIPPacket(vip netsim.IP, pkt *netsim.Packet) {
 		// instance, which is the benign-by-construction case.
 		inst = lb.pairs[v].inst
 	} else {
-		// SNAT returns route statelessly by the destination port's
-		// registered block; the affinity check above still wins so
-		// recovered flows can be pinned elsewhere.
-		if owner, ok := lb.snatOwner(tuple.Dst.Port); ok {
-			lb.forward(pkt, vip, owner)
-			return
-		}
 		insts := m.vipMap[vip]
 		if len(insts) == 0 {
 			lb.NoInstanceDrops++
 			lb.net.ReleasePacket(pkt)
 			return
 		}
-		inst = rendezvousPick(tuple, insts)
+		inst = Rendezvous(tuple, insts)
 		m.affinity.Insert(tuple, lb.pairVal(vip, inst))
 	}
 	lb.forward(pkt, vip, inst)
@@ -384,7 +316,6 @@ func (lb *LB) handleVIPPacket(vip netsim.IP, pkt *netsim.Packet) {
 // Resolution order matches scalar delivery packet for packet, so the
 // wire output and the affinity table end state are identical.
 func (lb *LB) handleVIPBatch(vip netsim.IP, pkts []*netsim.Packet) {
-	lb.vipPackets[vip] += uint64(len(pkts))
 	i := 0
 	for i < len(pkts) {
 		tuple := pkts[i].Tuple()
@@ -396,8 +327,6 @@ func (lb *LB) handleVIPBatch(vip netsim.IP, pkts []*netsim.Packet) {
 		var inst netsim.IP
 		if v, hit := m.affinity.LookupMaybe(tuple); hit {
 			inst = lb.pairs[v].inst
-		} else if owner, ok := lb.snatOwner(tuple.Dst.Port); ok {
-			inst = owner
 		} else {
 			insts := m.vipMap[vip]
 			if len(insts) == 0 {
@@ -407,7 +336,7 @@ func (lb *LB) handleVIPBatch(vip netsim.IP, pkts []*netsim.Packet) {
 				}
 				continue
 			}
-			inst = rendezvousPick(tuple, insts)
+			inst = Rendezvous(tuple, insts)
 			m.affinity.Insert(tuple, lb.pairVal(vip, inst))
 		}
 		for ; i < j; i++ {
@@ -435,51 +364,24 @@ func (lb *LB) forward(pkt *netsim.Packet, vip, inst netsim.IP) {
 }
 
 // SendViaSNAT transmits a packet originated by instance inst with the VIP
-// as its source address (pkt.Src.IP must be the VIP), via the instance's
-// own network handle so sharded instances transmit on their own shard.
-// If the source port sits in inst's registered SNAT block the return
-// route is already stateless; otherwise (no block registered, or a
-// recovered flow reusing a dead instance's port) the LB records
+// as its source address (pkt.Src.IP must be the VIP), recording
 // return-flow affinity so the destination's replies reach inst. This is
 // the SNAT half of front-and-back indirection.
-func (lb *LB) SendViaSNAT(via *netsim.Network, pkt *netsim.Packet, inst netsim.IP) {
-	if owner, hit := lb.snatOwner(pkt.Src.Port); !hit || owner != inst {
-		ret := netsim.FourTuple{Src: pkt.Dst, Dst: pkt.Src} // reply orientation: toward VIP
-		m := lb.muxFor(ret)
-		m.affinity.Insert(ret, lb.pairVal(vipOf(ret), inst))
-	}
-	via.Send(pkt)
+func (lb *LB) SendViaSNAT(pkt *netsim.Packet, inst netsim.IP) {
+	ret := netsim.FourTuple{Src: pkt.Dst, Dst: pkt.Src} // reply orientation: toward VIP
+	m := lb.muxFor(ret)
+	m.affinity.Insert(ret, lb.pairVal(vipOf(ret), inst))
+	lb.net.Send(pkt)
 }
 
 // ClearSNAT removes the return-flow affinity for a finished connection.
-// Ports inside a registered block never had an entry installed, so the
-// call is read-only for them — which keeps it safe from other shards.
 func (lb *LB) ClearSNAT(serverSide netsim.FourTuple) {
-	if _, hit := lb.snatOwner(serverSide.Dst.Port); hit {
-		return
-	}
 	m := lb.muxFor(serverSide)
 	m.affinity.Delete(serverSide)
 }
 
 func (lb *LB) muxFor(ft netsim.FourTuple) *mux {
-	return lb.muxes[tupleHash(ft, 0)%uint64(len(lb.muxes))]
-}
-
-// ReadTraffic returns and resets the per-VIP packet counters. The
-// returned map is valid until the next ReadTraffic call: the LB keeps
-// exactly two buffers and swaps between them, so the steady-state
-// stats poll performs zero map allocations. Callers that need the
-// counters beyond one poll cycle must copy them out.
-func (lb *LB) ReadTraffic() map[netsim.IP]uint64 {
-	out := lb.vipPackets
-	if lb.trafficSpare == nil {
-		lb.trafficSpare = make(map[netsim.IP]uint64)
-	}
-	clear(lb.trafficSpare)
-	lb.vipPackets = lb.trafficSpare
-	lb.trafficSpare = out
-	return out
+	return lb.muxes[TupleHash(ft, 0)%uint64(len(lb.muxes))]
 }
 
 // AffinityCount returns the number of live affinity entries across muxes
@@ -504,12 +406,14 @@ const (
 	fnvPrime64Pow8 uint64 = 0x1efac7090aef4a21
 )
 
-// tupleHash hashes a tuple with a salt, via FNV-1a (bit-identical to
-// fnv.New64a over the same 20-byte big-endian encoding: src IP, dst IP,
-// src port, dst port, salt). The fold is split into a tuple prefix and a
-// per-salt finish so rendezvousPick can hash the 12 tuple bytes once and
-// finish per candidate, and muxFor can take the zero-salt shortcut.
-func tupleHash(ft netsim.FourTuple, salt uint64) uint64 {
+// TupleHash hashes a tuple with a salt: FNV-1a (bit-identical to
+// fnv.New64a) over the 20-byte big-endian encoding src IP, dst IP, src
+// port, dst port, salt, then the Mix64 finalizer. It is the one tuple
+// hash of the mux pick and of the stateless derivation table. The fold
+// is split into a tuple prefix and a per-salt finish so Rendezvous can
+// hash the 12 tuple bytes once and finish per candidate, and muxFor can
+// take the zero-salt shortcut.
+func TupleHash(ft netsim.FourTuple, salt uint64) uint64 {
 	return tupleHashFinish(tupleHashPrefix(ft), salt)
 }
 
@@ -538,7 +442,7 @@ func tupleHashPrefix(ft netsim.FourTuple) uint64 {
 // the output mix. Bit-identical to continuing the byte-wise fold.
 func tupleHashFinish(prefix, salt uint64) uint64 {
 	if salt == 0 {
-		return mix64(prefix * fnvPrime64Pow8)
+		return Mix64(prefix * fnvPrime64Pow8)
 	}
 	h := prefix
 	h = (h ^ (salt >> 56)) * fnvPrime64
@@ -549,13 +453,13 @@ func tupleHashFinish(prefix, salt uint64) uint64 {
 	h = (h ^ uint64(uint8(salt>>16))) * fnvPrime64
 	h = (h ^ uint64(uint8(salt>>8))) * fnvPrime64
 	h = (h ^ uint64(uint8(salt))) * fnvPrime64
-	return mix64(h)
+	return Mix64(h)
 }
 
-// mix64 is the splitmix64 finalizer; it spreads the small input
+// Mix64 is the splitmix64 finalizer; it spreads the small input
 // differences typical of tuples (sequential ports, adjacent IPs) across
 // the whole output, which plain FNV does poorly.
-func mix64(x uint64) uint64 {
+func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -564,9 +468,11 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// rendezvousPick selects an instance by highest-random-weight hashing, so
-// removing one instance only remaps the flows that were on it.
-func rendezvousPick(ft netsim.FourTuple, insts []netsim.IP) netsim.IP {
+// Rendezvous selects an instance by highest-random-weight hashing
+// (TupleHash salted by each candidate's address; the first candidate
+// wins ties), so removing one instance only remaps the flows that were
+// on it.
+func Rendezvous(ft netsim.FourTuple, insts []netsim.IP) netsim.IP {
 	var best netsim.IP
 	var bestW uint64
 	prefix := tupleHashPrefix(ft)

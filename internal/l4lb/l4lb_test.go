@@ -1,18 +1,12 @@
 package l4lb
 
 import (
-	"flag"
-	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/netsim"
 )
-
-// shardsFlag lets CI sweep the shard count of the sharded l4lb tests
-// (ci.sh runs this package with -shards=4 under -race).
-var shardsFlag = flag.Int("shards", 4, "shard count for sharded l4lb tests")
 
 var (
 	vip    = netsim.IPv4(10, 255, 0, 1)
@@ -168,7 +162,7 @@ func TestSNATReturnPath(t *testing.T) {
 		Dst:   netsim.HostPort{IP: server, Port: 80},
 		Flags: netsim.FlagSYN,
 	}
-	lb.SendViaSNAT(n, out, inst1)
+	lb.SendViaSNAT(out, inst1)
 	n.RunUntilIdle(100)
 	if len(srvCol.got) != 1 {
 		t.Fatalf("server got %d packets", len(srvCol.got))
@@ -200,7 +194,7 @@ func TestSNATFailoverAfterInstanceRemoval(t *testing.T) {
 		Dst: netsim.HostPort{IP: server, Port: 80},
 	}
 	n.Attach(server, &collector{})
-	lb.SendViaSNAT(n, out, inst1)
+	lb.SendViaSNAT(out, inst1)
 	lb.RemoveInstance(inst1)
 	n.Detach(inst1)
 	reply := &netsim.Packet{
@@ -221,7 +215,7 @@ func TestClearSNAT(t *testing.T) {
 		Dst: netsim.HostPort{IP: server, Port: 80},
 	}
 	n.Attach(server, &collector{})
-	lb.SendViaSNAT(n, out, inst1)
+	lb.SendViaSNAT(out, inst1)
 	if lb.AffinityCount() != 1 {
 		t.Fatalf("affinity = %d", lb.AffinityCount())
 	}
@@ -287,132 +281,6 @@ func TestRemoveVIP(t *testing.T) {
 	lb.RemoveVIP(vip)
 }
 
-func TestReadTrafficResets(t *testing.T) {
-	n, lb, _ := setup(11, DefaultConfig(), inst1)
-	for i := 0; i < 5; i++ {
-		n.Send(clientPkt(uint16(i + 1)))
-	}
-	n.RunUntilIdle(1000)
-	tr := lb.ReadTraffic()
-	if tr[vip] != 5 {
-		t.Fatalf("traffic = %d", tr[vip])
-	}
-	tr = lb.ReadTraffic()
-	if tr[vip] != 0 {
-		t.Fatalf("traffic after reset = %d", tr[vip])
-	}
-}
-
-// TestReadTrafficReusesBuffer pins the double-buffer contract: the maps
-// returned by successive calls alternate between exactly two buffers
-// (no per-poll allocation), each call resets the counters, and a
-// returned map stays valid until the next call.
-func TestReadTrafficReusesBuffer(t *testing.T) {
-	n, lb, _ := setup(12, DefaultConfig(), inst1)
-	send := func(k int) {
-		for i := 0; i < k; i++ {
-			n.Send(clientPkt(uint16(i + 1)))
-		}
-		n.RunUntilIdle(1000)
-	}
-	send(3)
-	tr1 := lb.ReadTraffic()
-	if tr1[vip] != 3 {
-		t.Fatalf("first read = %d, want 3", tr1[vip])
-	}
-	send(2)
-	tr2 := lb.ReadTraffic()
-	if tr2[vip] != 2 {
-		t.Fatalf("second read = %d, want 2 (reset between polls)", tr2[vip])
-	}
-	send(4)
-	tr3 := lb.ReadTraffic()
-	// The third call must hand tr1's storage back, cleared and
-	// refilled: exactly two buffers in rotation, each valid until the
-	// call after the one that returned it.
-	if reflect.ValueOf(tr3).Pointer() != reflect.ValueOf(tr1).Pointer() {
-		t.Fatal("third read did not reuse the first buffer")
-	}
-	if reflect.ValueOf(tr2).Pointer() == reflect.ValueOf(tr1).Pointer() {
-		t.Fatal("consecutive reads returned the same buffer")
-	}
-	if tr3[vip] != 4 {
-		t.Fatalf("third read = %d, want 4", tr3[vip])
-	}
-	// Steady state allocates nothing per poll.
-	if avg := testing.AllocsPerRun(100, func() { lb.ReadTraffic() }); avg != 0 {
-		t.Fatalf("ReadTraffic allocates %.1f/op in steady state", avg)
-	}
-}
-
-// TestShardedSNATRangeRouting exercises the cross-shard SNAT contract
-// under the race detector: instances living on other shards originate
-// SNAT traffic concurrently through their registered port blocks — a
-// read-only path over the LB's range slice — and every server reply is
-// routed back to the owning instance by stateless range lookup, with
-// zero affinity entries written.
-func TestShardedSNATRangeRouting(t *testing.T) {
-	shards := *shardsFlag
-	if shards < 2 {
-		shards = 2
-	}
-	sn := netsim.NewSharded(21, shards)
-	defer sn.Close()
-	lb := New(sn.Shard(0), DefaultConfig())
-	lb.AddVIP(vip)
-
-	srvShard := sn.Shard(1 % shards)
-	srvNet := srvShard
-	srvCol := &collector{}
-	srvShard.Attach(server, netsim.NodeFunc(func(pkt *netsim.Packet) {
-		srvCol.got = append(srvCol.got, pkt)
-		srvNet.Send(&netsim.Packet{
-			Src: netsim.HostPort{IP: server, Port: pkt.Dst.Port},
-			Dst: pkt.Src, // back toward VIP:snat-port
-		})
-	}))
-
-	const perInst = 16
-	nInst := shards
-	cols := make([]*collector, nInst)
-	for i := 0; i < nInst; i++ {
-		inst := netsim.IPv4(10, 0, 3, byte(i+1))
-		base := uint16(20000 + 1000*i)
-		lb.RegisterSNATRange(inst, base, 100)
-		sh := sn.Shard(i % shards)
-		cols[i] = &collector{}
-		sh.Attach(inst, cols[i])
-		sh.Schedule(0, func() {
-			for p := 0; p < perInst; p++ {
-				lb.SendViaSNAT(sh, &netsim.Packet{
-					Src:   netsim.HostPort{IP: vip, Port: base + uint16(p)},
-					Dst:   netsim.HostPort{IP: server, Port: 80},
-					Flags: netsim.FlagSYN,
-				}, inst)
-			}
-		})
-	}
-	sn.RunUntilIdle(1_000_000)
-
-	if got := len(srvCol.got); got != nInst*perInst {
-		t.Fatalf("server got %d packets, want %d", got, nInst*perInst)
-	}
-	for i, c := range cols {
-		if len(c.got) != perInst {
-			t.Fatalf("instance %d got %d replies, want %d", i, len(c.got), perInst)
-		}
-		base := uint16(20000 + 1000*i)
-		for _, pkt := range c.got {
-			if pkt.Dst.Port < base || pkt.Dst.Port >= base+100 {
-				t.Fatalf("instance %d got reply for port %d outside its block", i, pkt.Dst.Port)
-			}
-		}
-	}
-	if lb.AffinityCount() != 0 {
-		t.Fatalf("stateless SNAT routing wrote %d affinity entries", lb.AffinityCount())
-	}
-}
-
 func TestRendezvousPickProperties(t *testing.T) {
 	insts := []netsim.IP{inst1, inst2, inst3}
 	f := func(srcIP uint32, srcPort uint16) bool {
@@ -420,9 +288,9 @@ func TestRendezvousPickProperties(t *testing.T) {
 			Src: netsim.HostPort{IP: netsim.IP(srcIP), Port: srcPort},
 			Dst: netsim.HostPort{IP: vip, Port: 80},
 		}
-		pick := rendezvousPick(ft, insts)
+		pick := Rendezvous(ft, insts)
 		// Deterministic.
-		if rendezvousPick(ft, insts) != pick {
+		if Rendezvous(ft, insts) != pick {
 			return false
 		}
 		// Monotone: removing a non-chosen instance must not change the pick.
@@ -433,7 +301,7 @@ func TestRendezvousPickProperties(t *testing.T) {
 			}
 		}
 		sub := append([]netsim.IP{pick}, reduced[:1]...)
-		return rendezvousPick(ft, sub) == pick
+		return Rendezvous(ft, sub) == pick
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -448,7 +316,7 @@ func TestRendezvousBalance(t *testing.T) {
 			Src: netsim.HostPort{IP: client, Port: p},
 			Dst: netsim.HostPort{IP: vip, Port: 80},
 		}
-		counts[rendezvousPick(ft, insts)]++
+		counts[Rendezvous(ft, insts)]++
 	}
 	for ip, c := range counts {
 		frac := float64(c) / 3000

@@ -14,8 +14,8 @@ const lenHistBuckets = 16
 // LenHist is a bounded counting histogram for small positive lengths —
 // packet-train and batch-run sizes on the dispatch hot path. Unlike
 // Histogram it never stores samples: Observe is two array increments,
-// the struct is a fixed 160 bytes and embeds by value, and shard
-// copies Merge without allocation.
+// the struct is a fixed 160 bytes and embeds by value, and copies
+// Merge without allocation.
 type LenHist struct {
 	counts [lenHistBuckets]uint64
 	n      uint64 // observations
@@ -82,7 +82,7 @@ func (h *LenHist) AtLeast(n int) uint64 {
 	return total
 }
 
-// Merge folds o into h (for aggregating per-shard copies).
+// Merge folds o into h.
 func (h *LenHist) Merge(o *LenHist) {
 	for i := range h.counts {
 		h.counts[i] += o.counts[i]

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -409,5 +411,176 @@ func TestHostDetachReattach(t *testing.T) {
 	send()
 	if got != 2 {
 		t.Fatalf("delivered %d, want 2 (middle send dropped)", got)
+	}
+}
+
+// recorder logs every delivery it receives, stamped with the clock.
+type recorder struct {
+	net *Network
+	log []string
+}
+
+func (r *recorder) HandlePacket(pkt *Packet) {
+	r.log = append(r.log, fmt.Sprintf("%v %s %s len=%d", r.net.Now(), pkt.Tuple(), pkt.Flags, pkt.Len()))
+	r.net.ReleasePacket(pkt)
+}
+
+// sender returns a function that sends one pooled packet src -> dst.
+func sender(n *Network, src, dst IP) func() {
+	return func() {
+		pkt := n.AllocPacket()
+		pkt.Src = HostPort{IP: src, Port: 1}
+		pkt.Dst = HostPort{IP: dst, Port: 2}
+		n.Send(pkt)
+	}
+}
+
+// TestRunDeadlineInclusiveDelivery: a packet due exactly at a Run
+// deadline is delivered by that Run.
+func TestRunDeadlineInclusiveDelivery(t *testing.T) {
+	n := New(1)
+	dst := IPv4(10, 4, 0, 2)
+	r := &recorder{net: n}
+	n.Attach(dst, r)
+	sender(n, IPv4(10, 4, 0, 1), dst)()
+	n.Run(150 * time.Microsecond)
+	if len(r.log) != 1 || !strings.HasPrefix(r.log[0], "150µs ") {
+		t.Fatalf("expected one delivery exactly at the 150µs deadline, log: %v", r.log)
+	}
+	if n.Pending() != 0 {
+		t.Fatalf("pending after run: %s", n)
+	}
+}
+
+// TestTimerCancelBeforeSend: a cancelled timer whose payload would send
+// a packet never fires, and draining it counts no executed events.
+func TestTimerCancelBeforeSend(t *testing.T) {
+	n := New(1)
+	dst := IPv4(10, 5, 0, 2)
+	r := &recorder{net: n}
+	n.Attach(dst, r)
+	send := sender(n, IPv4(10, 5, 0, 1), dst)
+	fired := false
+	tm := n.Schedule(time.Millisecond, func() { fired = true; send() })
+	tm.Stop()
+	if got := n.RunUntilIdle(1000); got != 0 {
+		t.Fatalf("executed %d events after cancelling the only timer", got)
+	}
+	if fired || len(r.log) != 0 {
+		t.Fatalf("cancelled timer fired (fired=%v log=%v)", fired, r.log)
+	}
+	if n.Pending() != 0 {
+		t.Fatalf("not quiescent: %s", n)
+	}
+}
+
+// TestTimerStopAfterFireIsInert: Stop on the handle of a timer that
+// already fired must not cancel the packet its payload sent.
+func TestTimerStopAfterFireIsInert(t *testing.T) {
+	n := New(1)
+	dst := IPv4(10, 6, 0, 2)
+	r := &recorder{net: n}
+	n.Attach(dst, r)
+	tm := n.Schedule(time.Millisecond, sender(n, IPv4(10, 6, 0, 1), dst))
+	n.Run(time.Millisecond + 50*time.Microsecond)
+	if len(r.log) != 0 {
+		t.Fatalf("delivery arrived early: %v", r.log)
+	}
+	if tm.Active() {
+		t.Fatal("fired timer still reports active")
+	}
+	tm.Stop()
+	n.RunFor(time.Millisecond)
+	if len(r.log) != 1 {
+		t.Fatalf("expected exactly one delivery, got %v", r.log)
+	}
+}
+
+// TestTimerReschedule cancels a sending timer and schedules it later:
+// exactly one delivery, at the new time plus the link latency.
+func TestTimerReschedule(t *testing.T) {
+	n := New(1)
+	dst := IPv4(10, 7, 0, 2)
+	r := &recorder{net: n}
+	n.Attach(dst, r)
+	send := sender(n, IPv4(10, 7, 0, 1), dst)
+	n.Schedule(time.Millisecond, send).Stop()
+	n.Schedule(3*time.Millisecond, send)
+	n.RunFor(10 * time.Millisecond)
+	want := fmt.Sprintf("%v ", 3*time.Millisecond+150*time.Microsecond)
+	if len(r.log) != 1 || !strings.HasPrefix(r.log[0], want) {
+		t.Fatalf("log %v, want one delivery with prefix %q", r.log, want)
+	}
+}
+
+// TestRunUntilIdleDrainsRelayChain relays one packet along a chain of
+// 30ms Internet hops: RunUntilIdle must run to true quiescence, well
+// past the wheel horizon, and count every hop.
+func TestRunUntilIdleDrainsRelayChain(t *testing.T) {
+	const hops = 9
+	n := New(1)
+	ips := make([]IP, hops+1)
+	for i := range ips {
+		ips[i] = IPv4(100, 8, 0, byte(i+1)) // non-DC: 30ms per hop
+	}
+	final := &recorder{net: n}
+	n.Attach(ips[hops], final)
+	for i := 0; i < hops; i++ {
+		next := ips[i+1]
+		n.Attach(ips[i], NodeFunc(func(pkt *Packet) {
+			pkt.Src, pkt.Dst = pkt.Dst, HostPort{IP: next, Port: pkt.Dst.Port}
+			n.Send(pkt)
+		}))
+	}
+	pkt := n.AllocPacket()
+	pkt.Src = HostPort{IP: ips[0], Port: 9}
+	pkt.Dst = HostPort{IP: ips[0], Port: 9}
+	n.Send(pkt)
+
+	if got := n.RunUntilIdle(1 << 20); got != hops+1 {
+		t.Fatalf("RunUntilIdle executed %d events, want %d", got, hops+1)
+	}
+	want := fmt.Sprintf("%v ", time.Duration(hops+1)*30*time.Millisecond)
+	if len(final.log) != 1 || !strings.HasPrefix(final.log[0], want) {
+		t.Fatalf("final log %v, want one delivery with prefix %q", final.log, want)
+	}
+	if n.Pending() != 0 || n.Delivered != hops+1 {
+		t.Fatalf("pending=%d delivered=%d, want 0 and %d", n.Pending(), n.Delivered, hops+1)
+	}
+}
+
+// TestNetworkStatsCounters checks the delivery counters and their
+// String rendering, with queued sends counted as pending before the run.
+func TestNetworkStatsCounters(t *testing.T) {
+	n := New(1)
+	src := IPv4(10, 9, 0, 1)
+	n.Attach(src, &recorder{net: n})
+	for i := 2; i <= 4; i++ {
+		n.Attach(IPv4(10, 9, 0, byte(i)), &recorder{net: n})
+	}
+	n.SetDropFunc(func(pkt *Packet) bool { return pkt.Dst.Port == 666 })
+	send := func(dst IP, port uint16) {
+		pkt := n.AllocPacket()
+		pkt.Src = HostPort{IP: src, Port: 1}
+		pkt.Dst = HostPort{IP: dst, Port: port}
+		n.Send(pkt)
+	}
+	for i := 2; i <= 4; i++ {
+		send(IPv4(10, 9, 0, byte(i)), 80)
+	}
+	send(IPv4(10, 9, 9, 9), 80) // never attached: no route
+	send(IPv4(10, 9, 0, 2), 666)
+	if got := n.Pending(); got != 5 {
+		t.Fatalf("pending before run: %d, want 5 (%s)", got, n)
+	}
+	n.RunFor(time.Millisecond)
+	if n.Delivered != 3 || n.DroppedNoRoute != 1 || n.DroppedByPolicy != 1 {
+		t.Fatalf("delivered=%d noRoute=%d policy=%d, want 3/1/1", n.Delivered, n.DroppedNoRoute, n.DroppedByPolicy)
+	}
+	if n.Pending() != 0 || n.Executed() != 5 {
+		t.Fatalf("pending=%d executed=%d, want 0 and 5", n.Pending(), n.Executed())
+	}
+	if s := n.String(); !strings.Contains(s, "delivered=3") || !strings.Contains(s, "dropped=1+1") {
+		t.Fatalf("String missing counters: %s", s)
 	}
 }

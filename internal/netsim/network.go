@@ -60,10 +60,9 @@ type TraceEvent struct {
 }
 
 // Network is one discrete-event simulator loop. It is not safe for
-// concurrent use: all components run inside its single event loop. In a
-// sharded simulation (see ShardedNetwork) each shard is a Network of its
-// own; the coordinator runs whole shards on separate goroutines, but no
-// individual Network is ever touched by two goroutines at once.
+// concurrent use: all components run inside its single event loop.
+// Parallelism comes from running independent trials, each on a Network
+// of its own.
 type Network struct {
 	now time.Duration
 	seq uint64
@@ -88,19 +87,7 @@ type Network struct {
 	dropFn  func(pkt *Packet) bool
 	tracer  func(TraceEvent)
 
-	// Sharding (see shard.go). coord is nil for standalone networks;
-	// when set, Sends to IPs owned by other shards are handed off to the
-	// coordinator instead of being scheduled locally. violation records
-	// the first lookahead violation observed on this shard's goroutine,
-	// checked (and raised) by the coordinator after the window barrier.
-	shard     int
-	coord     *ShardedNetwork
-	executed  uint64
-	violation string
-	// lastBusy is the clock at the most recent event Run executed, before
-	// the deadline park — the shard's contribution to the fleet-wide
-	// quiescent frontier (ShardedNetwork.RunUntilIdle).
-	lastBusy time.Duration
+	executed uint64
 
 	// Scheduler state (see sched.go): a timer wheel for near events, a
 	// typed heap for far ones, and a small heap for the cursor's slot.
@@ -197,24 +184,12 @@ func (n *Network) Attach(ip IP, node Node) {
 	if ip == 0 {
 		panic("netsim: cannot attach to the unspecified address")
 	}
-	if n.coord != nil {
-		n.coord.noteAttach(ip, n.shard)
-	}
 	n.nodes[ip] = node
 }
-
-// ShardID returns this network's shard index (0 for standalone networks).
-func (n *Network) ShardID() int { return n.shard }
 
 // Detach removes the node at ip, if any. Subsequent packets to ip are
 // dropped, which is how host failure is modelled.
 func (n *Network) Detach(ip IP) { delete(n.nodes, ip) }
-
-// Attached reports whether a node is currently attached at ip.
-func (n *Network) Attached(ip IP) bool {
-	_, ok := n.nodes[ip]
-	return ok
-}
 
 // Schedule runs fn after delay d of virtual time and returns a
 // cancellable timer. A negative delay is treated as zero.
@@ -243,12 +218,6 @@ func (n *Network) Send(pkt *Packet) {
 		d += time.Duration((n.rng.Float64()*2 - 1) * n.jitter * float64(d))
 		if d < 0 {
 			d = 0
-		}
-	}
-	if n.coord != nil && len(n.coord.shards) > 1 {
-		if ds := n.coord.shardFor(dst); ds != n.shard {
-			n.coord.push(n, ds, n.now+d, pkt, dst)
-			return
 		}
 	}
 	at := n.now + d
@@ -402,33 +371,60 @@ func (n *Network) deliverRun(pkts []*Packet, dst IP) {
 
 // Step executes the next pending event, advancing the clock. It reports
 // whether an event was executed. Cancelled events are drained and
-// recycled as they are encountered, never re-scanned.
+// recycled as they are encountered, never re-scanned. A packet train
+// delivers one member per Step, so a caller that acts between Steps sees
+// exactly the interleaving unbatched scheduling gives it.
 func (n *Network) Step() bool {
 	e := n.nextEvent()
 	if e == nil {
 		return false
 	}
+	if e.train != nil {
+		n.stepTrainHead(e)
+		return true
+	}
 	n.execute(e)
 	return true
+}
+
+// stepTrainHead delivers only the head of train event e, which nextEvent
+// left at the top of curHeap, and makes the next member the head. The
+// record keeps its (at, seq) key: every other event filed at that instant
+// was filed after the train closed and sorts after all its members. The
+// train is closed, as execute closes it, so a same-instant send from the
+// handler files behind the remaining members.
+func (n *Network) stepTrainHead(e *event) {
+	n.queued--
+	n.executed++
+	if e.at > n.now {
+		n.now = e.at
+	}
+	if e == n.openTrain {
+		n.openTrain = nil
+	}
+	pkt, dst := e.pkt, e.dst
+	entries := e.train.entries
+	e.pkt, e.dst = entries[0].pkt, entries[0].dst
+	copy(entries, entries[1:])
+	entries[len(entries)-1] = trainEntry{}
+	e.train.entries = entries[:len(entries)-1]
+	if len(e.train.entries) == 0 {
+		n.freeTrain(e.train)
+		e.train = nil
+	}
+	n.deliver(pkt, dst)
 }
 
 // Run executes events until the virtual clock would pass deadline, then
 // sets the clock to the deadline. Events scheduled exactly at the
 // deadline are executed.
 func (n *Network) Run(deadline time.Duration) {
-	start := n.executed
 	for {
 		e := n.nextEvent()
 		if e == nil || e.at > deadline {
 			break
 		}
 		n.execute(e)
-	}
-	if n.executed != start {
-		// Record the busy frontier before parking at the deadline: the
-		// sharded coordinator uses it to settle a drained fleet on the
-		// last event's time rather than the final window's end.
-		n.lastBusy = n.now
 	}
 	if n.now < deadline {
 		n.now = deadline
@@ -447,10 +443,12 @@ func (n *Network) RunFor(d time.Duration) { n.Run(n.now + d) }
 func (n *Network) RunUntilIdle(maxEvents int) int {
 	count := 0
 	for count < maxEvents {
-		before := n.executed
-		if !n.Step() {
+		e := n.nextEvent()
+		if e == nil {
 			break
 		}
+		before := n.executed
+		n.execute(e)
 		count += int(n.executed - before)
 	}
 	return count
@@ -461,15 +459,6 @@ func (n *Network) Pending() int { return n.queued - n.cancelledPending }
 
 // Executed returns the number of events this loop has executed.
 func (n *Network) Executed() uint64 { return n.executed }
-
-// NextEventAt reports the virtual time of the earliest live queued
-// event, positioning the scheduler on it without executing anything.
-func (n *Network) NextEventAt() (time.Duration, bool) {
-	if e := n.nextEvent(); e != nil {
-		return e.at, true
-	}
-	return 0, false
-}
 
 // BatchHitRatio returns the fraction of train runs (length ≥ 2) handed
 // to a BatchNode in one call — 0 when no trains have dispatched yet.

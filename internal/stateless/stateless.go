@@ -38,14 +38,9 @@
 package stateless
 
 import (
+	"repro/internal/l4lb"
 	"repro/internal/netsim"
 	"repro/internal/rules"
-)
-
-// FNV-1a constants, inlined to match internal/l4lb exactly.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
 )
 
 // Salt constants separating the table's independent hash domains.
@@ -81,10 +76,7 @@ type Range struct {
 // Table is the shared derivation state: a per-deployment secret, the
 // current mapping epoch, per-VIP entries, the SNAT range registry, and
 // the set of instances currently considered dead. One Table is shared by
-// every instance of a cluster (single-shard) or consulted with external
-// synchronization (the controller mutates it only between waves; the
-// sharded cluster restricts control-plane mutation exactly as it already
-// does for rule installs).
+// every instance of a cluster, inside its single event loop.
 type Table struct {
 	secret uint64
 	epoch  uint64
@@ -105,7 +97,7 @@ func New(secret uint64) *Table {
 // ISNKey returns the non-zero tcp.Config.ISNKey backends must use so the
 // data plane can re-derive their initial sequence numbers.
 func (t *Table) ISNKey() uint64 {
-	k := mix64(t.secret ^ isnSalt)
+	k := l4lb.Mix64(t.secret ^ isnSalt)
 	if k == 0 {
 		k = 1
 	}
@@ -155,7 +147,7 @@ func (t *Table) Dead(inst netsim.IP) bool { return t.dead[inst] }
 // secret — the deterministic replacement for the per-instance RNG draw
 // that feeds the L7 split in hybrid mode.
 func (t *Table) Draw(ft netsim.FourTuple) float64 {
-	return float64(tupleHash(ft, t.secret^drawSalt)>>11) / (1 << 53)
+	return float64(l4lb.TupleHash(ft, t.secret^drawSalt)>>11) / (1 << 53)
 }
 
 // DeriveBackend replays the split decision for a client tuple against
@@ -246,7 +238,7 @@ func (t *Table) PreferredPort(inst netsim.IP, ft netsim.FourTuple) (uint16, bool
 		return 0, false
 	}
 	slot := uint16(t.epoch & 3)
-	off := uint16(tupleHash(ft, t.secret^portSalt) % uint64(quarter))
+	off := uint16(l4lb.TupleHash(ft, t.secret^portSalt) % uint64(quarter))
 	return r.Base + slot*quarter + off, true
 }
 
@@ -322,54 +314,9 @@ func PoolFromRules(rs []rules.Rule) ([]Backend, bool) {
 	return pool, true
 }
 
-// Rendezvous selects an instance by highest-random-weight hashing,
-// bit-identical to the l4lb mux pick (same 20-byte FNV-1a encoding, same
-// splitmix64 finalizer, same first-wins tie break), so the table can
-// predict exactly where the mux sends a tuple.
+// Rendezvous selects an instance by highest-random-weight hashing. It is
+// the l4lb mux pick itself, so the table predicts exactly where the mux
+// sends a tuple.
 func Rendezvous(ft netsim.FourTuple, insts []netsim.IP) netsim.IP {
-	var best netsim.IP
-	var bestW uint64
-	for _, ip := range insts {
-		w := tupleHash(ft, uint64(ip))
-		if w > bestW || best == 0 {
-			best, bestW = ip, w
-		}
-	}
-	return best
-}
-
-// tupleHash hashes a tuple with a salt, via FNV-1a over the same 20-byte
-// encoding internal/l4lb uses (bit-identical — Rendezvous must agree
-// with the mux).
-func tupleHash(ft netsim.FourTuple, salt uint64) uint64 {
-	var b [20]byte
-	put32 := func(off int, v uint32) {
-		b[off] = byte(v >> 24)
-		b[off+1] = byte(v >> 16)
-		b[off+2] = byte(v >> 8)
-		b[off+3] = byte(v)
-	}
-	put32(0, uint32(ft.Src.IP))
-	put32(4, uint32(ft.Dst.IP))
-	b[8] = byte(ft.Src.Port >> 8)
-	b[9] = byte(ft.Src.Port)
-	b[10] = byte(ft.Dst.Port >> 8)
-	b[11] = byte(ft.Dst.Port)
-	put32(12, uint32(salt>>32))
-	put32(16, uint32(salt))
-	h := fnvOffset64
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime64
-	}
-	return mix64(h)
-}
-
-// mix64 is the splitmix64 finalizer (identical to l4lb's).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return l4lb.Rendezvous(ft, insts)
 }

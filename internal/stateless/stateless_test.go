@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/l4lb"
 	"repro/internal/netsim"
 	"repro/internal/rules"
 )
@@ -319,5 +320,87 @@ func TestRendezvousRemovalStability(t *testing.T) {
 		if got := Rendezvous(ft, rest); got != win {
 			t.Fatalf("pick changed from %v to %v after removing loser %v", win, got, drop)
 		}
+	}
+}
+
+// refTupleHash is the reference tuple hash: FNV-1a byte by byte over the
+// 20-byte big-endian encoding (src IP, dst IP, src port, dst port, salt),
+// then the splitmix64 finalizer. l4lb.TupleHash is the unrolled form the
+// table and the mux share; it must agree bit for bit.
+func refTupleHash(ft netsim.FourTuple, salt uint64) uint64 {
+	var b [20]byte
+	put32 := func(off int, v uint32) {
+		b[off] = byte(v >> 24)
+		b[off+1] = byte(v >> 16)
+		b[off+2] = byte(v >> 8)
+		b[off+3] = byte(v)
+	}
+	put32(0, uint32(ft.Src.IP))
+	put32(4, uint32(ft.Dst.IP))
+	b[8] = byte(ft.Src.Port >> 8)
+	b[9] = byte(ft.Src.Port)
+	b[10] = byte(ft.Dst.Port >> 8)
+	b[11] = byte(ft.Dst.Port)
+	put32(12, uint32(salt>>32))
+	put32(16, uint32(salt))
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return refMix64(h)
+}
+
+// refMix64 is the splitmix64 finalizer.
+func refMix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// refRendezvous is highest-random-weight over refTupleHash, first
+// candidate winning ties.
+func refRendezvous(ft netsim.FourTuple, insts []netsim.IP) netsim.IP {
+	var best netsim.IP
+	var bestW uint64
+	for _, ip := range insts {
+		if w := refTupleHash(ft, uint64(ip)); w > bestW || best == 0 {
+			best, bestW = ip, w
+		}
+	}
+	return best
+}
+
+// TestTupleHashMatchesReference compares the shared tuple hash, the
+// rendezvous pick and the table's keyed draws against the byte-loop
+// reference on random tuples and salts, salt 0 included.
+func TestTupleHashMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tbl := New(rng.Uint64())
+	for i := 0; i < 5000; i++ {
+		ft := netsim.FourTuple{
+			Src: netsim.HostPort{IP: netsim.IP(rng.Uint32()), Port: uint16(rng.Uint32())},
+			Dst: netsim.HostPort{IP: netsim.IP(rng.Uint32()), Port: uint16(rng.Uint32())},
+		}
+		for _, salt := range []uint64{0, rng.Uint64(), uint64(rng.Uint32()), tbl.secret ^ drawSalt, tbl.secret ^ portSalt} {
+			if got, want := l4lb.TupleHash(ft, salt), refTupleHash(ft, salt); got != want {
+				t.Fatalf("TupleHash(%v, %#x) = %#x, reference %#x", ft, salt, got, want)
+			}
+		}
+		insts := make([]netsim.IP, 1+rng.Intn(8))
+		for k := range insts {
+			insts[k] = netsim.IP(rng.Uint32() | 1)
+		}
+		if got, want := Rendezvous(ft, insts), refRendezvous(ft, insts); got != want {
+			t.Fatalf("Rendezvous(%v, %v) = %v, reference %v", ft, insts, got, want)
+		}
+		if got, want := tbl.Draw(ft), float64(refTupleHash(ft, tbl.secret^drawSalt)>>11)/(1<<53); got != want {
+			t.Fatalf("Draw(%v) = %v, reference %v", ft, got, want)
+		}
+	}
+	if got, want := l4lb.Mix64(tbl.secret^isnSalt), refMix64(tbl.secret^isnSalt); got != want {
+		t.Fatalf("Mix64 = %#x, reference %#x", got, want)
 	}
 }

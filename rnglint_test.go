@@ -8,12 +8,12 @@ import (
 )
 
 // rngAllowlist names the packages allowed to construct their own RNGs.
-// netsim owns the per-shard deterministic RNGs; trace, workload, and the
+// netsim owns the network's deterministic RNG; trace, workload, and the
 // experiment drivers seed trial-level generators outside any event loop.
-// Every other component must use the shard-local handle cached from its
-// Network at construction — a private rand.New is exactly how the
-// pre-PR-4 fig14 map-iteration bug slipped in, and under the sharded
-// dataplane a shared one is a data race as well.
+// Every other component must use the network's RNG, cached from
+// Network.Rand at construction: a private rand.New is exactly how the
+// pre-PR-4 fig14 map-iteration bug slipped in, and one shared across
+// parallel trials is a data race as well.
 var rngAllowlist = map[string]bool{
 	"internal/netsim":      true,
 	"internal/trace":       true,
@@ -21,9 +21,9 @@ var rngAllowlist = map[string]bool{
 	"internal/experiments": true,
 }
 
-// TestNoStrayRNGConstruction is the lint half of the per-shard RNG
-// satellite: it fails if any non-test source file outside the allowlist
-// calls rand.New. ci.sh runs the same check as a grep stage so it fails
+// TestNoStrayRNGConstruction keeps every run reproducible from its seed:
+// it fails if any non-test source file outside the allowlist calls
+// rand.New. ci.sh runs the same check as a grep stage so it fails
 // fast before the test suite.
 func TestNoStrayRNGConstruction(t *testing.T) {
 	var offenders []string
@@ -59,7 +59,7 @@ func TestNoStrayRNGConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(offenders) > 0 {
-		t.Fatalf("rand.New outside the netsim allowlist — use the shard-local RNG handle from Network.Rand at construction instead:\n%s",
+		t.Fatalf("rand.New outside the netsim allowlist — use the network's RNG, cached from Network.Rand at construction, instead:\n%s",
 			strings.Join(offenders, "\n"))
 	}
 }

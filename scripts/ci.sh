@@ -3,10 +3,10 @@
 #
 #   1. gofmt -s -l + go vet   formatting and static checks, whole tree
 #   2. fast-fail stages       vet + race on the hottest packages, then
-#                             the 4-shard race runs and the RNG lint
+#                             the RNG lint
 #   3. go build               everything compiles, including cmd/
 #   4. go test -race          full suite under the race detector
-#   5. fuzzing                10s per httpsim parser fuzz target
+#   5. fuzzing                10s per Fuzz* target, in every package
 #   6. benchmarks             every Benchmark* compiles and runs one
 #      iteration (the heavy figure benchmarks are excluded by name; run
 #      scripts/bench.sh for real numbers); a failing benchmark fails CI
@@ -35,25 +35,10 @@ echo "== dataplane fast-fail (vet + race on flowmap/rules/httpsim/core/l4lb/tcps
 go vet ./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./internal/core/ ./internal/l4lb/ ./internal/tcpstore/ ./internal/memcache/ ./internal/reconfig/ ./internal/stateless/
 go test -race ./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./internal/core/ ./internal/l4lb/ ./internal/tcpstore/ ./internal/memcache/ ./internal/reconfig/ ./internal/stateless/
 
-echo "== sharded dataplane fast-fail (race at 4 shards: netsim + l4lb SNAT + whole-stack e2e) =="
-# The conservative-sync coordinator is lock-free by design (happens-before
-# comes only from the round barriers), so the race detector on a 4-shard
-# run is the proof the handoff discipline holds end to end. The l4lb run
-# covers cross-shard SNAT-range reads against the mux flow tables.
-go test -race ./internal/netsim/ -args -shards=4
-go test -race -run 'TestSharded' ./internal/l4lb/ -args -shards=4
-go test -race -run 'TestSharded' ./internal/core/ -args -shards=4
-# Cross-shard batched ingest: handoff bursts ride trains into the batch
-# demux path on the receiving shard; the race run proves batch dispatch
-# added no cross-shard sharing.
-go test -race -run 'TestShardedBatchIngest' ./internal/tcp/
-# Hybrid recovery at 4 shards: exact recovery (recovered == deadFlows,
-# zero leaks, zero drops, zero pending) with proof-gated adoption.
-go test -race -run 'TestMflowHybrid' ./internal/experiments/
-
 echo "== rng lint (grep fast-fail; TestNoStrayRNGConstruction is the test half) =="
-# Only netsim (per-shard RNGs) and the trial-level drivers may construct
-# generators; dataplane components must cache Network.Rand at build time.
+# Only netsim (the network's RNG) and the trial-level drivers may
+# construct generators; dataplane components must cache Network.Rand at
+# build time, so every run reproduces from its seed.
 if grep -rn --include='*.go' 'rand\.New(' cmd examples internal *.go 2>/dev/null \
   | grep -v '_test\.go:' \
   | grep -Ev '^internal/(netsim|trace|workload|experiments)/'; then
@@ -67,12 +52,17 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
-echo "== parser fuzzing (10s per target) =="
-# The streaming HTTP framers against the reference parsers kept in
-# parser_reference_test.go, plus the no-panic/round-trip fuzzers. A
-# failing input lands in internal/httpsim/testdata/fuzz as a regression.
-for target in FuzzRequestParser FuzzResponseParser FuzzRequestParserDifferential FuzzResponseParserDifferential; do
-  go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s ./internal/httpsim/
+echo "== fuzzing (10s per Fuzz* target, every package) =="
+# Every fuzz target go test lists: the differential fuzzers that pin each
+# fast path to the reference kept in its test files (HTTP framers, flow
+# map, rule engine, memcached session, burst and batch dispatch, cookie
+# decode), plus the no-panic/round-trip fuzzers. A failing input lands in
+# the package's testdata/fuzz as a regression. A listing failure fails CI.
+for pkg in $(go list ./...); do
+  targets=$(go test -list '^Fuzz' "$pkg")
+  for target in $(awk '/^Fuzz/' <<<"$targets"); do
+    go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s "$pkg"
+  done
 done
 
 echo "== benchmarks (1 iteration, smoke) =="
