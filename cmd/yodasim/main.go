@@ -4,10 +4,7 @@
 //
 // Usage:
 //
-//	yodasim -exp table1|fig6|fig9|fig10|fig12|fig12b|fig13|fig14|cpu|upgrade|mflow|all [-seed N] [-parallel] [-recovery hybrid]
-//
-// mflow holds ~1M flows open across the fleet, kills part of it, and
-// verifies per-flow recovery; -recovery selects its recovery model.
+//	yodasim -exp table1|fig6|fig9|fig10|fig12|fig12b|fig13|fig14|cpu|upgrade|all [-seed N] [-parallel]
 //
 // -parallel runs independent trials on separate goroutines: the Figure 6
 // rule-count points, the Figure 12 arms, and (with -exp all) the
@@ -31,10 +28,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: table1, fig6, fig9, fig10, fig12, fig12b, fig13, fig14, cpu, upgrade, mflow, all")
+	exp := flag.String("exp", "all", "experiment to run: table1, fig6, fig9, fig10, fig12, fig12b, fig13, fig14, cpu, upgrade, all")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	recovery := flag.String("recovery", "", "mflow recovery model: empty (pure HRW re-pick) or hybrid (stateless-table gated adoption)")
-	tierb := flag.Bool("tierb", true, "mflow: ride Tier B coalescing sideband connections (delayed ACKs + GSO trains) alongside the run")
 	parallel := flag.Bool("parallel", false, "run independent trials/experiments on separate goroutines")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof allocation profile (taken at exit) to this file")
@@ -120,23 +115,13 @@ func main() {
 			cfg.Seed = *seed
 			return experiments.RunUpgrade(cfg)
 		},
-		// mflow is the scale experiment (~1M concurrent flows + failure
-		// storm). It is not part of -exp all: it is a capacity run, not a
-		// paper figure.
-		"mflow": func() fmt.Stringer {
-			cfg := experiments.DefaultMflowConfig()
-			cfg.Seed = *seed
-			cfg.Recovery = *recovery
-			cfg.TierB = *tierb
-			return experiments.RunMflow(cfg)
-		},
 	}
 
 	order := []string{"table1", "fig6", "fig9", "fig10", "cpu", "fig12", "fig12b", "fig13", "fig14", "upgrade"}
 	if *exp != "all" {
 		run, ok := runners[*exp]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; one of %v, fig11, mflow, or all\n", *exp, order)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; one of %v, fig11, or all\n", *exp, order)
 			os.Exit(2)
 		}
 		fmt.Println(run().String())

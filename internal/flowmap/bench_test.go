@@ -7,8 +7,7 @@ import (
 	"repro/internal/netsim"
 )
 
-// benchTuples builds the 2^20-tuple population the benchmarks share —
-// the same scale as the mflow experiment's headline run.
+// benchTuples builds the 2^20-tuple population the benchmarks share.
 func benchTuples(n int) []netsim.FourTuple {
 	ts := make([]netsim.FourTuple, n)
 	for i := range ts {
@@ -62,8 +61,9 @@ func BenchmarkFlowmapChurn(b *testing.B) {
 }
 
 // BenchmarkFlowmapMemPerFlow reports the bytes-per-flow of each
-// implementation at 2^20 resident entries, measured from live heap the
-// way the mflow experiment measures its fleet.
+// implementation at 2^20 resident entries, measured from live heap. The
+// compact figure is the per-flow memory of the structure the l4lb
+// affinity table and the core flow index use.
 func BenchmarkFlowmapMemPerFlow(b *testing.B) {
 	const n = 1 << 20
 	tuples := benchTuples(n)

@@ -83,11 +83,8 @@ type Table interface {
 	Epoch() uint64
 }
 
-// Compile-time interface checks.
-var (
-	_ Table = (*Compact)(nil)
-	_ Table = (*Map)(nil)
-)
+// Compile-time interface check.
+var _ Table = (*Compact)(nil)
 
 // hashTuple digests a tuple into the 64-bit tag Compact stores: FNV-1a
 // over the tuple words followed by the splitmix64 finalizer (plain FNV

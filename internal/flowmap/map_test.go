@@ -4,14 +4,14 @@ import "repro/internal/netsim"
 
 // Map is the plain-Go-map reference implementation of Table: exact
 // (its LookupMaybe never false-hits, since the full tuple is the key)
-// and linear in memory. It is retained as the differential oracle for
-// Compact — the flowmap analogue of rules.SelectLinear and
-// memcache.ReferenceSession — and as a drop-in for callers that want
-// map semantics at small scale.
+// and linear in memory. It lives in the tests as the differential oracle
+// for Compact, like the rules and memcache reference oracles.
 type Map struct {
 	m     map[netsim.FourTuple]Value
 	epoch uint64
 }
+
+var _ Table = (*Map)(nil)
 
 // NewMap returns an empty reference table.
 func NewMap() *Map {

@@ -17,8 +17,8 @@ import (
 // fields that alias the session's input buffer (no string conversions, no
 // strings.Fields), values are sliced out of the buffer and copied exactly
 // once — at the Engine-insert boundary — and responses are framed into
-// reusable session-owned buffers. ReferenceSession (proto_reference.go)
-// keeps the original implementation; the differential tests and
+// reusable session-owned buffers. The tests keep the original
+// implementation (proto_reference_test.go); the differential tests and
 // FuzzMemcacheSessionDifferential pin the two byte-for-byte equal.
 type Session struct {
 	engine *Engine
@@ -66,7 +66,7 @@ const (
 	maxPooledBufCap = 1 << 20
 )
 
-// Protocol response strings (shared with ReferenceSession by value: the
+// Protocol response strings (shared with the reference parser by value: the
 // differential tests compare raw bytes).
 const (
 	respError         = "ERROR\r\n"

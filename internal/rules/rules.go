@@ -242,16 +242,6 @@ func (e *Engine) evictStale() {
 	}
 }
 
-// TableSizes reports the number of bindings in each sticky table, for
-// stats and memory-growth monitoring.
-func (e *Engine) TableSizes() map[string]int {
-	out := make(map[string]int, len(e.tables))
-	for name, t := range e.tables {
-		out[name] = len(t)
-	}
-	return out
-}
-
 // Rules returns the engine's rule table in evaluation order.
 func (e *Engine) Rules() []Rule { return append([]Rule(nil), e.rules...) }
 
@@ -273,11 +263,12 @@ func (e *Engine) Learn(table, key string, b Backend) {
 // uniform in [0,1) (drawn from the simulation RNG); info may be nil for
 // all-alive semantics.
 //
-// The Decision is identical to SelectLinear's in every field: the winner
-// is the same (the index only skips rules whose Match provably fails),
-// and Scanned is reconstructed from the winner's position in the full
-// sorted table — the linear scan examines exactly position+1 rules before
-// terminating, or the whole table when nothing does.
+// The Decision is identical in every field to the linear scan's (the
+// reference kept in the tests): the winner is the same (the index only
+// skips rules whose Match provably fails), and Scanned is reconstructed
+// from the winner's position in the full sorted table — the linear scan
+// examines exactly position+1 rules before terminating, or the whole
+// table when nothing does.
 func (e *Engine) Select(req *httpsim.Request, rnd float64, info BackendInfo) Decision {
 	if info == nil {
 		info = allAlive{}
@@ -303,29 +294,6 @@ func (e *Engine) Select(req *httpsim.Request, rnd float64, info BackendInfo) Dec
 	}
 	d.Scanned = len(e.rules) // full-table fall-through, as the scan counts
 	e.merge = lists[:0]
-	return d
-}
-
-// SelectLinear is the retained reference implementation: the HAProxy
-// linear scan exactly as the paper models it. It is the differential
-// oracle the compiled Select is fuzzed against and is not used on the
-// request path.
-func (e *Engine) SelectLinear(req *httpsim.Request, rnd float64, info BackendInfo) Decision {
-	if info == nil {
-		info = allAlive{}
-	}
-	d := Decision{}
-	for i := range e.rules {
-		r := &e.rules[i]
-		d.Scanned++
-		if !r.Match.Matches(req) {
-			continue
-		}
-		if b, ok := e.applyAction(r, req, rnd, info); ok {
-			d.Backend, d.Rule, d.OK = b, r, true
-			return d
-		}
-	}
 	return d
 }
 

@@ -189,7 +189,7 @@ func (t *Table) Owner(vip netsim.IP, ft netsim.FourTuple) (netsim.IP, bool) {
 	var scratch [64]netsim.IP
 	insts := append(scratch[:0], e.Instances...)
 	for len(insts) > 0 {
-		p := Rendezvous(ft, insts)
+		p := l4lb.Rendezvous(ft, insts)
 		if !t.dead[p] {
 			return p, true
 		}
@@ -213,7 +213,7 @@ func (t *Table) DeadOwnerCandidates(vip netsim.IP, ft netsim.FourTuple, buf []ne
 	var scratch [64]netsim.IP
 	insts := append(scratch[:0], e.Instances...)
 	for len(insts) > 0 {
-		p := Rendezvous(ft, insts)
+		p := l4lb.Rendezvous(ft, insts)
 		if !t.dead[p] {
 			break
 		}
@@ -312,11 +312,4 @@ func PoolFromRules(rs []rules.Rule) ([]Backend, bool) {
 		pool = append(pool, Backend{Name: wb.Backend.Name, Addr: wb.Backend.Addr, Weight: wb.Weight})
 	}
 	return pool, true
-}
-
-// Rendezvous selects an instance by highest-random-weight hashing. It is
-// the l4lb mux pick itself, so the table predicts exactly where the mux
-// sends a tuple.
-func Rendezvous(ft netsim.FourTuple, insts []netsim.IP) netsim.IP {
-	return l4lb.Rendezvous(ft, insts)
 }

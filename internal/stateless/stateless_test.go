@@ -45,7 +45,7 @@ func TestOwnerEqualsRendezvousOverLiveSubset(t *testing.T) {
 		if !ok {
 			t.Fatalf("no owner for %v", ft)
 		}
-		if want := Rendezvous(ft, live); got != want {
+		if want := l4lb.Rendezvous(ft, live); got != want {
 			t.Fatalf("tuple %d: chain-walk owner %v != rendezvous over live %v", i, got, want)
 		}
 	}
@@ -311,13 +311,13 @@ func TestRendezvousRemovalStability(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 300; i++ {
 		ft := tupleFor(i)
-		win := Rendezvous(ft, insts)
+		win := l4lb.Rendezvous(ft, insts)
 		drop := insts[rng.Intn(len(insts))]
 		if drop == win {
 			continue
 		}
 		rest := removeIP(append([]netsim.IP(nil), insts...), drop)
-		if got := Rendezvous(ft, rest); got != win {
+		if got := l4lb.Rendezvous(ft, rest); got != win {
 			t.Fatalf("pick changed from %v to %v after removing loser %v", win, got, drop)
 		}
 	}
@@ -393,8 +393,8 @@ func TestTupleHashMatchesReference(t *testing.T) {
 		for k := range insts {
 			insts[k] = netsim.IP(rng.Uint32() | 1)
 		}
-		if got, want := Rendezvous(ft, insts), refRendezvous(ft, insts); got != want {
-			t.Fatalf("Rendezvous(%v, %v) = %v, reference %v", ft, insts, got, want)
+		if got, want := l4lb.Rendezvous(ft, insts), refRendezvous(ft, insts); got != want {
+			t.Fatalf("l4lb.Rendezvous(%v, %v) = %v, reference %v", ft, insts, got, want)
 		}
 		if got, want := tbl.Draw(ft), float64(refTupleHash(ft, tbl.secret^drawSalt)>>11)/(1<<53); got != want {
 			t.Fatalf("Draw(%v) = %v, reference %v", ft, got, want)

@@ -36,11 +36,6 @@ go test -run '^$' -bench 'BenchmarkRuleSelect(Reference)?/rules=1000$' \
   -benchmem ./internal/rules/ | tee -a "$MICRO_LOG"
 go test -run '^$' -bench 'BenchmarkReconfigMigration' -benchtime 3x \
   ./internal/reconfig/ | tee -a "$MICRO_LOG"
-# Best-of-3 for the mflow headline: a single 1x run of a whole-sim
-# benchmark swings ±20% with allocator/GC state, and the ci.sh
-# regression gate already compares against the best of 3.
-go test -run '^$' -bench 'BenchmarkMflowMemPerFlow' -benchtime 1x -count=3 \
-  ./internal/experiments/ | tee -a "$MICRO_LOG"
 go test -run '^$' -bench 'BenchmarkFlowmapLookup|BenchmarkFlowmapChurn' -benchmem \
   ./internal/flowmap/ | tee -a "$MICRO_LOG"
 go test -run '^$' -bench 'BenchmarkFlowmapMemPerFlow' -benchtime 1x \
@@ -81,8 +76,6 @@ SB_BATCH_US="$(metric "$MICRO_LOG" BenchmarkStorageBBatched virtual-µs/write)"
 SB_SEQ_US="$(metric "$MICRO_LOG" BenchmarkStorageBSequential virtual-µs/write)"
 RECONFIG_TPUT="$(metric "$MICRO_LOG" BenchmarkReconfigMigration migrated_flows/s)"
 RECONFIG_DRAIN_MS="$(metric "$MICRO_LOG" BenchmarkReconfigMigration drain_ms/op)"
-MFLOW_BPF="$(metric "$MICRO_LOG" BenchmarkMflowMemPerFlow bytes/flow)"
-MFLOW_EPS="$(awk '$1 ~ /^BenchmarkMflowMemPerFlow/ {for(i=1;i<NF;i++) if($(i+1)=="events/s" && $i+0>max+0) max=$i} END{print max}' "$MICRO_LOG")"
 FM_LOOKUP_NS="$(pick "$MICRO_LOG" 'BenchmarkFlowmapLookup/impl=compact' 3)"
 FM_LOOKUP_MAP_NS="$(pick "$MICRO_LOG" 'BenchmarkFlowmapLookup/impl=map' 3)"
 FM_LOOKUP_ALLOCS="$(awk '$1 ~ /^BenchmarkFlowmapLookup\/impl=compact/ {for(i=1;i<NF;i++) if($(i+1)=="allocs/op") print $i}' "$MICRO_LOG" | head -1)"
@@ -162,9 +155,6 @@ cat > "$OUT" <<EOF
     "reconfig_drain_virtual_ms": $(jsonnum "$RECONFIG_DRAIN_MS"),
     "cpu_count": $(nproc),
     "gomaxprocs": ${GOMAXPROCS:-$(nproc)},
-    "mflow_note": "BenchmarkMflowMemPerFlow: 2^16 flows, one loop",
-    "mflow_mem_bytes_per_flow": $(jsonnum "$MFLOW_BPF"),
-    "mflow_events_per_s": $(jsonnum "$MFLOW_EPS"),
     "flowmap_bytes_per_flow": $(jsonnum "$FM_BPF"),
     "flowmap_map_baseline_bytes_per_flow": $(jsonnum "$FM_MAP_BPF"),
     "flowmap_lookup_ns_op": $(jsonnum "$FM_LOOKUP_NS"),

@@ -85,43 +85,46 @@ rm -f "$SMOKE_LOG"
 echo "== bench regression gate (>15% vs BENCH_core.json fails) =="
 # Guard the dataplane's headline numbers: the event-loop and flow
 # fast-path microbenchmarks may not regress more than 15% over the
-# recorded ns/op, and mflow events/s plus TCP bulk MB/s must stay
-# within 15% of the recorded rates. Best-of-3 runs absorb machine
-# noise; after an intentional perf change, re-baseline with
-# scripts/bench.sh.
-REC_EVLOOP_NS=$(awk -F'[:,]' '/"event_loop_ns_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
-REC_MFLOW_EPS=$(awk -F'[:,]' '/"mflow_events_per_s"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
-REC_FLOW_NS=$(awk -F'[:,]' '/"flow_fast_path_ns_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
-REC_TCP_MBS=$(awk -F'[:,]' '/"tcp_throughput_MB_s"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
-if [[ -z "${REC_EVLOOP_NS:-}" || "$REC_EVLOOP_NS" == "null" || -z "${REC_MFLOW_EPS:-}" || "$REC_MFLOW_EPS" == "null" ]]; then
-  echo "SKIP: BENCH_core.json lacks recorded event_loop_ns_op / mflow_events_per_s"
-else
-  GATE_LOG="$(mktemp)"
-  go test -run '^$' -bench 'BenchmarkNetsimEventLoop$' -count=3 ./internal/netsim/ | tee "$GATE_LOG"
-  go test -run '^$' -bench 'BenchmarkMflowMemPerFlow' -benchtime 1x -count=3 ./internal/experiments/ | tee -a "$GATE_LOG"
-  go test -run '^$' -bench 'BenchmarkFlowFastPath$' -count=3 ./internal/core/ | tee -a "$GATE_LOG"
-  go test -run '^$' -bench 'BenchmarkTCPThroughput$' -count=3 ./internal/tcp/ | tee -a "$GATE_LOG"
-  NEW_EVLOOP_NS=$(awk '$1 ~ /^BenchmarkNetsimEventLoop/ {if (min=="" || $3+0<min+0) min=$3} END{print min}' "$GATE_LOG")
-  NEW_MFLOW_EPS=$(awk '$1 ~ /^BenchmarkMflowMemPerFlow/ {for(i=1;i<NF;i++) if($(i+1)=="events/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
-  NEW_FLOW_NS=$(awk '$1 ~ /^BenchmarkFlowFastPath/ {if (min=="" || $3+0<min+0) min=$3} END{print min}' "$GATE_LOG")
-  NEW_TCP_MBS=$(awk '$1 ~ /^BenchmarkTCPThroughput/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
-  rm -f "$GATE_LOG"
-  awk -v new="$NEW_EVLOOP_NS" -v rec="$REC_EVLOOP_NS" 'BEGIN{
-    if (new+0 > rec*1.15) { printf "FAIL: event loop %.1f ns/op vs recorded %.1f (>15%% regression)\n", new, rec; exit 1 }
-    printf "event loop %.1f ns/op vs recorded %.1f ns/op: ok\n", new, rec }'
-  awk -v new="$NEW_MFLOW_EPS" -v rec="$REC_MFLOW_EPS" 'BEGIN{
-    if (new+0 < rec/1.15) { printf "FAIL: mflow %.0f events/s vs recorded %.0f (>15%% regression)\n", new, rec; exit 1 }
-    printf "mflow %.0f events/s vs recorded %.0f events/s: ok\n", new, rec }'
-  if [[ -n "${REC_FLOW_NS:-}" && "$REC_FLOW_NS" != "null" ]]; then
-    awk -v new="$NEW_FLOW_NS" -v rec="$REC_FLOW_NS" 'BEGIN{
-      if (new+0 > rec*1.15) { printf "FAIL: flow fast path %.1f ns/op vs recorded %.1f (>15%% regression)\n", new, rec; exit 1 }
-      printf "flow fast path %.1f ns/op vs recorded %.1f ns/op: ok\n", new, rec }'
+# recorded ns/op, and TCP bulk MB/s must stay within 15% of the recorded
+# rate. Each leg reads its own baseline from the "current" section of
+# BENCH_core.json; a missing baseline or a benchmark that reports no
+# number fails the step. Every leg is reported before the step fails.
+# Best-of-3 runs absorb machine noise; after an intentional perf change,
+# re-baseline with scripts/bench.sh.
+recorded() {
+  local v
+  v=$(awk -F'[:,]' -v k="\"$1\"" '/"current"/ {c=1} c && index($1, k) {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json)
+  if [[ -z "$v" || "$v" == "null" ]]; then
+    echo "FAIL: BENCH_core.json lacks a recorded $1" >&2
+    return 1
   fi
-  if [[ -n "${REC_TCP_MBS:-}" && "$REC_TCP_MBS" != "null" ]]; then
-    awk -v new="$NEW_TCP_MBS" -v rec="$REC_TCP_MBS" 'BEGIN{
-      if (new+0 < rec/1.15) { printf "FAIL: tcp throughput %.1f MB/s vs recorded %.1f (>15%% regression)\n", new, rec; exit 1 }
-      printf "tcp throughput %.1f MB/s vs recorded %.1f MB/s: ok\n", new, rec }'
-  fi
+  echo "$v"
+}
+REC_EVLOOP_NS=$(recorded event_loop_ns_op)
+REC_FLOW_NS=$(recorded flow_fast_path_ns_op)
+REC_TCP_MBS=$(recorded tcp_throughput_MB_s)
+GATE_LOG="$(mktemp)"
+go test -run '^$' -bench 'BenchmarkNetsimEventLoop$' -count=3 ./internal/netsim/ | tee "$GATE_LOG"
+go test -run '^$' -bench 'BenchmarkFlowFastPath$' -count=3 ./internal/core/ | tee -a "$GATE_LOG"
+go test -run '^$' -bench 'BenchmarkTCPThroughput$' -count=3 ./internal/tcp/ | tee -a "$GATE_LOG"
+NEW_EVLOOP_NS=$(awk '$1 ~ /^BenchmarkNetsimEventLoop/ {if (min=="" || $3+0<min+0) min=$3} END{print min}' "$GATE_LOG")
+NEW_FLOW_NS=$(awk '$1 ~ /^BenchmarkFlowFastPath/ {if (min=="" || $3+0<min+0) min=$3} END{print min}' "$GATE_LOG")
+NEW_TCP_MBS=$(awk '$1 ~ /^BenchmarkTCPThroughput/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
+rm -f "$GATE_LOG"
+# gate <label> <measured> <recorded> <unit> <lower|higher is better>
+gate() {
+  awk -v l="$1" -v new="$2" -v rec="$3" -v u="$4" -v better="$5" 'BEGIN{
+    if (new == "") { printf "FAIL: %s: the benchmark reported no %s\n", l, u; exit 1 }
+    bad = (better == "lower") ? (new+0 > rec*1.15) : (new+0 < rec/1.15)
+    if (bad) { printf "FAIL: %s %.1f %s vs recorded %.1f (>15%% regression)\n", l, new, u, rec; exit 1 }
+    printf "%s %.1f %s vs recorded %.1f %s: ok\n", l, new, u, rec, u }'
+}
+gate_rc=0
+gate "event loop" "$NEW_EVLOOP_NS" "$REC_EVLOOP_NS" ns/op lower || gate_rc=1
+gate "flow fast path" "$NEW_FLOW_NS" "$REC_FLOW_NS" ns/op lower || gate_rc=1
+gate "tcp throughput" "$NEW_TCP_MBS" "$REC_TCP_MBS" MB/s higher || gate_rc=1
+if [[ $gate_rc -ne 0 ]]; then
+  exit 1
 fi
 
 echo "CI PASS"
